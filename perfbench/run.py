@@ -3,8 +3,7 @@
 
 Usage, from the root of a checkout:
 
-    python3 perfbench/run.py --slo-ms 25 --paced-slo-ms 50 \
-        --workload <name> --seed <n> --seconds <s> --trace <0|1>
+    python3 perfbench/run.py --workload <name> --seed <n> --seconds <s> --trace <0|1>
 
 The benchmark is its own Cargo package (``perfbench/Cargo.toml``) with path
 dependencies on the workspace crates, so it builds the program from source

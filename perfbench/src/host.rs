@@ -35,6 +35,25 @@ pub fn peak_rss_mb() -> Option<f64> {
     Some(kb / 1024.0)
 }
 
+/// Resets the process high-water RSS to the current RSS (writes `5` to
+/// `/proc/self/clear_refs`), so a later [`peak_rss_mb`] covers only what
+/// ran after it. Freed heap is handed back to the kernel first, so memory
+/// the caller already dropped does not count. `false` when the kernel
+/// refused the reset.
+pub fn reset_peak_rss() -> bool {
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    {
+        extern "C" {
+            fn malloc_trim(pad: usize) -> i32;
+        }
+        // SAFETY: glibc's malloc_trim only releases free heap pages.
+        unsafe {
+            malloc_trim(0);
+        }
+    }
+    std::fs::write("/proc/self/clear_refs", "5").is_ok()
+}
+
 /// Cumulative `(steal, total)` CPU jiffies from `/proc/stat`, if readable.
 /// On a virtual machine, steal is time the host ran something else while
 /// this guest had work: it inflates every wall-clock metric.

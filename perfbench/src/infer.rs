@@ -2,6 +2,7 @@
 //! at 224 px through a `FrozenClassifier` mmap-loaded from an `RBFNFRZ1`
 //! artifact written during set-up.
 
+use crate::host;
 use crate::report::{Gate, Json, Outcome};
 use crate::schedule::Rng;
 use crate::stats::{median, windowed_rate, Summary};
@@ -55,18 +56,22 @@ impl Precision {
     }
 }
 
-/// Everything set-up produces.
+/// Everything set-up produces. Only `map` and `images` serve the timed
+/// loop; `model` and `mem` feed the gates and are dropped before it.
 struct Setup {
     model: RevBiFPNClassifier,
     mem: FrozenClassifier,
     map: FrozenClassifier,
     images: Vec<Tensor>,
-    path: PathBuf,
+    _file: ArtifactFile,
 }
 
-impl Drop for Setup {
+/// The artifact written in set-up, removed when dropped.
+struct ArtifactFile(PathBuf);
+
+impl Drop for ArtifactFile {
     fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.path);
+        let _ = std::fs::remove_file(&self.0);
     }
 }
 
@@ -106,7 +111,7 @@ fn setup(ctx: &Ctx, prec: Precision, tr: &Tracer, images: Vec<Tensor>, classes: 
             mem,
             map,
             images,
-            path,
+            _file: ArtifactFile(path),
         }
     })
 }
@@ -115,10 +120,12 @@ fn bits(t: &Tensor) -> Vec<u32> {
     t.data().iter().map(|v| v.to_bits()).collect()
 }
 
-/// One pass: set-up (repeated unless traced), the timed closed loop for
-/// `seconds` (and at least [`TAIL_CALLS`] calls when traced and `full`,
-/// else [`MIN_CALLS`]), then the gates. A traced f32 pass also runs the
-/// frozen-pieces probe (both precisions).
+/// One pass: set-up (repeated unless traced), the gates, then the timed
+/// closed loop for `seconds` (and at least [`TAIL_CALLS`] calls when
+/// traced and `full`, else [`MIN_CALLS`]). The gates and the traced f32
+/// pass's frozen-pieces probe (both precisions) run first, so the
+/// training-mode model and the in-memory frozen copy are gone before the
+/// high-water RSS is reset for the timed loop.
 pub fn run(ctx: &Ctx, prec: Precision, seconds: f64, full: bool, tr: &Tracer) -> Outcome {
     let mut out = Outcome::default();
     let (pool, classes) = images(ctx.seed);
@@ -131,58 +138,28 @@ pub fn run(ctx: &Ctx, prec: Precision, seconds: f64, full: bool, tr: &Tracer) ->
         kept = Some(setup(ctx, prec, tr, pool.clone(), classes));
         setups.push(t.elapsed().as_secs_f64());
     }
-    let s = kept.expect("at least one set-up");
-
-    let name = format!("core.classifier.{}", prec.tag());
-    let mut rng = Rng::new(ctx.seed ^ 0x1AFE);
-    let (mut ms, mut finite) = (Vec::new(), 0usize);
-    let want_tail = full && tr.enabled();
-    let min_calls = if want_tail { TAIL_CALLS } else { MIN_CALLS };
-    let t = Instant::now();
-    while t.elapsed().as_secs_f64() < seconds || ms.len() < min_calls {
-        let x = &s.images[rng.below(POOL)];
-        let i = ms.len() as u64;
-        let c = Instant::now();
-        let y = tr.scope("op.infer", i, || tr.scope(&name, i, || s.map.forward(x)));
-        ms.push(c.elapsed().as_secs_f64() * 1e3);
-        finite += usize::from(y.is_finite() && y.shape() == s.map.logit_shape(1));
-    }
-
-    let sum = Summary::of(&ms);
-    out.attempted = ms.len() as u64;
-    out.failed = (ms.len() - finite) as u64;
-    out.e2e.put("setup_s", median(&setups), "s");
-    let secs: Vec<f64> = ms.iter().map(|m| m * 1e-3).collect();
-    let rate = windowed_rate(&secs, RATE_WINDOW, 1.0);
-    out.e2e.put("throughput_per_s", rate, "1/s");
-    out.e2e.put("latency_p50_ms", sum.p50, "ms");
-    out.e2e
-        .put("ok_share", finite as f64 / ms.len() as f64, "share");
-    out.layers
-        .put(format!("infer.{}_ms_tail", prec.tag()), sum.tail, "ms");
+    let Setup {
+        model,
+        mem,
+        map,
+        images,
+        _file,
+    } = kept.expect("at least one set-up");
 
     let mut parity = true;
-    for x in s.images.iter().take(2) {
-        parity &= bits(&s.map.forward(x)) == bits(&s.mem.forward(x));
+    for x in images.iter().take(2) {
+        parity &= bits(&map.forward(x)) == bits(&mem.forward(x));
     }
     out.gates.push(Gate::new(
         &format!("infer.{}.mmap_forward_bitwise_equals_in_memory", prec.tag()),
         parity,
         "logits of 2 pooled images, mmap-loaded artifact vs in-memory freeze",
     ));
-    if want_tail {
-        out.gates.push(Gate::new(
-            "infer.p90_supported",
-            Summary::at(&ms, 0.90).is_some(),
-            format!("{} samples", ms.len()),
-        ));
-    }
     if prec == Precision::Int8 && full {
-        let f32 = Precision::F32.freeze(&s.model);
-        let agree = s
-            .images
+        let f32 = Precision::F32.freeze(&model);
+        let agree = images
             .iter()
-            .filter(|x| argmax_rows(&f32.forward(x)) == argmax_rows(&s.map.forward(x)))
+            .filter(|x| argmax_rows(&f32.forward(x)) == argmax_rows(&map.forward(x)))
             .count();
         let share = agree as f64 / POOL as f64;
         let gate = QuantGateConfig::default().min_agreement;
@@ -195,7 +172,49 @@ pub fn run(ctx: &Ctx, prec: Precision, seconds: f64, full: bool, tr: &Tracer) ->
         ));
     }
     if tr.enabled() && prec == Precision::F32 {
-        pieces(&s.model, &s.images, tr, 5, &mut out);
+        pieces(&model, &images, tr, 5, &mut out);
+    }
+    drop((model, mem));
+    let rss_reset = host::reset_peak_rss();
+    // The reset handed freed heap back; fault the loop's buffers in again
+    // before timing.
+    std::hint::black_box(map.forward(&images[0]));
+
+    let name = format!("core.classifier.{}", prec.tag());
+    let mut rng = Rng::new(ctx.seed ^ 0x1AFE);
+    let (mut ms, mut finite) = (Vec::new(), 0usize);
+    let want_tail = full && tr.enabled();
+    let min_calls = if want_tail { TAIL_CALLS } else { MIN_CALLS };
+    let t = Instant::now();
+    while t.elapsed().as_secs_f64() < seconds || ms.len() < min_calls {
+        let x = &images[rng.below(POOL)];
+        let i = ms.len() as u64;
+        let c = Instant::now();
+        let y = tr.scope("op.infer", i, || tr.scope(&name, i, || map.forward(x)));
+        ms.push(c.elapsed().as_secs_f64() * 1e3);
+        finite += usize::from(y.is_finite() && y.shape() == map.logit_shape(1));
+    }
+    let rss = host::peak_rss_mb().unwrap_or(f64::NAN);
+
+    let sum = Summary::of(&ms);
+    out.attempted = ms.len() as u64;
+    out.failed = (ms.len() - finite) as u64;
+    out.e2e.put("setup_s", median(&setups), "s");
+    out.e2e.put("peak_rss_mb", rss, "MiB");
+    let secs: Vec<f64> = ms.iter().map(|m| m * 1e-3).collect();
+    let rate = windowed_rate(&secs, RATE_WINDOW, 1.0);
+    out.e2e.put("throughput_per_s", rate, "1/s");
+    out.e2e.put("latency_p50_ms", sum.p50, "ms");
+    out.e2e
+        .put("ok_share", finite as f64 / ms.len() as f64, "share");
+    out.layers
+        .put(format!("infer.{}_ms_tail", prec.tag()), sum.tail, "ms");
+    if want_tail {
+        out.gates.push(Gate::new(
+            "infer.p90_supported",
+            Summary::at(&ms, 0.90).is_some(),
+            format!("{} samples", ms.len()),
+        ));
     }
     out.detail(
         &format!("infer_{}", prec.tag()),
@@ -204,6 +223,7 @@ pub fn run(ctx: &Ctx, prec: Precision, seconds: f64, full: bool, tr: &Tracer) ->
             ("p50_ms", Json::Num(sum.p50)),
             ("tail_percentile", sum.tail_p.map_or(Json::Null, Json::Num)),
             ("tail_ms", Json::Num(sum.tail)),
+            ("peak_rss_reset", Json::Bool(rss_reset)),
             (
                 "setup_samples_s",
                 Json::Arr(setups.into_iter().map(Json::Num).collect()),

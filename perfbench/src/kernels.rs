@@ -2,14 +2,16 @@
 //! 3x3 and pointwise (1x1 GEMM) kernels, f32 and int8, at the stream-0
 //! block shapes S0 uses (24 -> 48 channel expand, 48-channel depthwise;
 //! 56 px at 224 px input for frozen inference, 32 px batch 4 — one
-//! training shard at 128 px — for the training convolution).
+//! training shard at 128 px — for the training convolution). Each kernel
+//! runs at the thread budget of the workload it serves: 1 for the frozen
+//! plans and prepacked GEMMs (inference), 2 for `conv2d` (training).
 
 use crate::report::Metrics;
 use crate::schedule::Rng;
 use crate::stats::median;
 use crate::trace::Tracer;
 use revbifpn_tensor::{
-    conv2d, int8_act_scale, qgemm_prepacked, quantize_activations, sgemm_prepacked, ConvPlan,
+    conv2d, par, int8_act_scale, qgemm_prepacked, quantize_activations, sgemm_prepacked, ConvPlan,
     ConvSpec, Epilogue, EpilogueAct, PackedGemmA, PackedGemmAI8, QuantConvPlan, Shape, Tensor,
 };
 use std::hint::black_box;
@@ -47,6 +49,7 @@ pub fn probe(seed: u64, tr: &Tracer, budget_s: f64) -> Metrics {
     let mut m = Metrics::default();
     let gmac_s = |macs: u64, s: f64| macs as f64 / (s * 1e9);
 
+    par::set_max_threads(1);
     // Depthwise 3x3, frozen f32 and int8 plans.
     let dw = ConvSpec::depthwise(3, 1, C_HID);
     let x = tensor(Shape::new(1, C_HID, HW_INFER, HW_INFER), &mut rng);
@@ -64,6 +67,7 @@ pub fn probe(seed: u64, tr: &Tracer, budget_s: f64) -> Metrics {
     m.put("tensor.dw3x3_int8_gmac_s", gmac_s(macs, s), "GMAC/s");
 
     // Depthwise 3x3 through the training convolution.
+    par::set_max_threads(2);
     let xt = tensor(Shape::new(TRAIN_N, C_HID, HW_TRAIN, HW_TRAIN), &mut rng);
     let macs_t = dw.macs(xt.shape(), C_HID);
     let s = time_call(tr, "tensor.conv2d_dw3x3_f32", budget_s, || {
@@ -75,6 +79,7 @@ pub fn probe(seed: u64, tr: &Tracer, budget_s: f64) -> Metrics {
         "GMAC/s",
     );
 
+    par::set_max_threads(1);
     // Pointwise expand as a prepacked GEMM: [48 x 24] x [24 x 56*56].
     let n = HW_INFER * HW_INFER;
     let a = tensor(Shape::new(1, 1, C_HID, C_IN), &mut rng);

@@ -1,10 +1,8 @@
 //! Benchmark runner for the RevBiFPN workspace.
 //!
 //! ```text
-//! perfbench --workload <train|infer_f32|infer_int8|serve_steady|serve_flood>
-//!           --seed <n> --seconds <s> --trace <0|1>
-//!           --slo-ms <ms> --paced-slo-ms <ms> [--out-dir <dir>]
-//! perfbench --capacity --seconds <s>
+//! perfbench --workload <train|infer_f32|infer_int8|serve_flood>
+//!           --seed <n> --seconds <s> --trace <0|1> [--out-dir <dir>]
 //! ```
 //!
 //! `--trace 0` runs the workload untraced and prints its end-to-end
@@ -12,13 +10,14 @@
 //! benchmark makes into the workspace crates — after a shorter untraced
 //! pass of the same workload (their latency difference is the tracing
 //! overhead), then sweeps the layers the workload does not exercise with
-//! short traced passes, and prints every per-layer metric. The last line
-//! of standard output is the result object; the full report (host and
-//! provenance block, gates, details, per-layer self times) and the span
-//! file go to `--out-dir`. The serving mixes (`serve_steady`,
-//! `serve_flood`) are runnable by hand and the flood mix drives every
-//! traced sweep, but they are not `BENCHMARK.json` workloads: their latency
-//! does not repeat from run to run on the reference host (see `README.md`).
+//! short traced passes, and prints every per-layer metric. A traced run is
+//! correct only when every pass it draws metrics from passed its gates.
+//! The last line of standard output is the result object; the full report
+//! (host and provenance block, gates, details, per-layer self times) and
+//! the span file go to `--out-dir`. The serving mix (`serve_flood`) is
+//! runnable by hand and drives every traced sweep, but it is not a
+//! `BENCHMARK.json` workload: its latency does not repeat from run to run
+//! on the reference host (see `README.md`).
 
 mod host;
 mod infer;
@@ -34,7 +33,6 @@ use host::Provenance;
 use infer::Precision;
 use report::{Json, Metrics, Outcome};
 use revbifpn_tensor::par;
-use serve::Mix;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
@@ -44,10 +42,6 @@ use trace::Tracer;
 pub struct Ctx {
     /// Workload seed: every generated input derives from it.
     pub seed: u64,
-    /// `serve_steady` latency limit, ms from the due instant.
-    pub slo_ms: f64,
-    /// `serve_flood` paced-tenant latency limit, ms from the due instant.
-    pub paced_slo_ms: f64,
     /// Where artifacts, reports and spans are written.
     pub out_dir: PathBuf,
 }
@@ -56,16 +50,15 @@ pub struct Ctx {
 enum Workload {
     Train,
     Infer(Precision),
-    Serve(Mix),
+    ServeFlood,
 }
 
 impl Workload {
-    const ALL: [Workload; 5] = [
+    const ALL: [Workload; 4] = [
         Workload::Train,
         Workload::Infer(Precision::F32),
         Workload::Infer(Precision::Int8),
-        Workload::Serve(Mix::Steady),
-        Workload::Serve(Mix::Flood),
+        Workload::ServeFlood,
     ];
 
     fn name(self) -> &'static str {
@@ -73,8 +66,7 @@ impl Workload {
             Workload::Train => "train",
             Workload::Infer(Precision::F32) => "infer_f32",
             Workload::Infer(Precision::Int8) => "infer_int8",
-            Workload::Serve(Mix::Steady) => "serve_steady",
-            Workload::Serve(Mix::Flood) => "serve_flood",
+            Workload::ServeFlood => "serve_flood",
         }
     }
 
@@ -100,7 +92,7 @@ impl Workload {
             }
             Workload::Train => train::run(ctx, seconds),
             Workload::Infer(p) => infer::run(ctx, p, seconds, full, tr),
-            Workload::Serve(m) => serve::run(ctx, m, seconds, tr),
+            Workload::ServeFlood => serve::run(ctx, seconds, tr),
         }
     }
 }
@@ -110,10 +102,7 @@ struct Args {
     seed: u64,
     seconds: f64,
     trace: bool,
-    slo_ms: Option<f64>,
-    paced_slo_ms: Option<f64>,
     out_dir: PathBuf,
-    capacity: bool,
 }
 
 fn parse() -> Result<Args, String> {
@@ -122,18 +111,11 @@ fn parse() -> Result<Args, String> {
         seed: 0,
         seconds: 0.0,
         trace: false,
-        slo_ms: None,
-        paced_slo_ms: None,
         out_dir: PathBuf::from(".bench_out"),
-        capacity: false,
     };
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut it = argv.iter();
     while let Some(flag) = it.next() {
-        if flag == "--capacity" {
-            a.capacity = true;
-            continue;
-        }
         let v = it.next().ok_or(format!("{flag} needs a value"))?;
         let num = |v: &str| v.parse::<f64>().map_err(|e| format!("{flag} {v}: {e}"));
         match flag.as_str() {
@@ -148,8 +130,6 @@ fn parse() -> Result<Args, String> {
             "--seed" => a.seed = v.parse().map_err(|e| format!("--seed {v}: {e}"))?,
             "--seconds" => a.seconds = num(v)?,
             "--trace" => a.trace = v == "1",
-            "--slo-ms" => a.slo_ms = Some(num(v)?),
-            "--paced-slo-ms" => a.paced_slo_ms = Some(num(v)?),
             "--out-dir" => a.out_dir = PathBuf::from(v),
             _ => return Err(format!("unknown flag {flag}")),
         }
@@ -161,23 +141,25 @@ fn parse() -> Result<Args, String> {
 }
 
 /// Layers the traced sweep covers when the primary workload does not:
-/// one short traced pass per other workload family.
-fn sweep(ctx: &Ctx, primary: Workload, tr: &Tracer, layers: &mut Metrics) {
-    par::set_max_threads(2);
-    layers.extend(tr.scope("op.probe.kernels", 0, || kernels::probe(ctx.seed, tr, 0.15)));
-    if primary != Workload::Train {
-        layers.extend(Workload::Train.pass(ctx, 1.0, false, tr).layers);
-    }
-    for p in [Precision::F32, Precision::Int8] {
-        if primary != Workload::Infer(p) {
-            layers.extend(Workload::Infer(p).pass(ctx, 1.0, false, tr).layers);
+/// one short traced pass per other workload family, folded into `out`
+/// with its gates and counts.
+fn sweep(ctx: &Ctx, primary: Workload, tr: &Tracer, out: &mut Outcome) {
+    out.layers
+        .extend(tr.scope("op.probe.kernels", 0, || kernels::probe(ctx.seed, tr, 0.15)));
+    let others = [
+        (Workload::Train, 1.0),
+        (Workload::Infer(Precision::F32), 1.0),
+        (Workload::Infer(Precision::Int8), 1.0),
+        (Workload::ServeFlood, 2.0),
+    ];
+    for (w, seconds) in others {
+        if w != primary {
+            out.absorb(w.name(), w.pass(ctx, seconds, false, tr));
         }
     }
-    if !matches!(primary, Workload::Serve(_)) {
-        layers.extend(Workload::Serve(Mix::Flood).pass(ctx, 2.0, false, tr).layers);
-    }
     par::set_max_threads(1);
-    layers.extend(tr.scope("op.probe.tiny", 0, || serve::tiny_probe(ctx.seed, tr, 0.1)));
+    out.layers
+        .extend(tr.scope("op.probe.tiny", 0, || serve::tiny_probe(ctx.seed, tr, 0.1)));
 }
 
 /// Set-up layers reported straight from their spans (median self time).
@@ -253,24 +235,12 @@ fn main() -> ExitCode {
     }
     let ctx = Ctx {
         seed: args.seed,
-        slo_ms: args.slo_ms.unwrap_or(f64::NAN),
-        paced_slo_ms: args.paced_slo_ms.unwrap_or(f64::NAN),
         out_dir: args.out_dir.clone(),
     };
-    if args.capacity {
-        par::set_max_threads(1);
-        println!("capacity_rps {:.1}", serve::capacity(&ctx, args.seconds));
-        return ExitCode::SUCCESS;
-    }
     let Some(w) = args.workload else {
         eprintln!("perfbench: --workload is required");
         return ExitCode::from(2);
     };
-    // Traced runs of every workload also drive the serve engine.
-    if args.slo_ms.is_none() || args.paced_slo_ms.is_none() {
-        eprintln!("perfbench: --slo-ms and --paced-slo-ms are required");
-        return ExitCode::from(2);
-    }
 
     let started = Instant::now();
     let jiffies = host::cpu_jiffies();
@@ -281,17 +251,24 @@ fn main() -> ExitCode {
         let untraced = (w != Workload::Train)
             .then(|| w.pass(&ctx, args.seconds / 3.0, false, &Tracer::new(false)));
         let tr = Tracer::new(true);
-        let primary = w.pass(&ctx, args.seconds, true, &tr);
+        let mut outcome = w.pass(&ctx, args.seconds, true, &tr);
+        let traced = outcome.e2e.get("latency_p50_ms");
         let base = match &untraced {
             Some(u) => u.e2e.get("latency_p50_ms"),
-            None => primary.e2e.get("untraced_latency_p50_ms"),
+            None => outcome.e2e.get("untraced_latency_p50_ms"),
         };
-        let mut layers = primary.layers.clone();
-        sweep(&ctx, w, &tr, &mut layers);
-        let overhead = match (primary.e2e.get("latency_p50_ms"), base) {
+        // The untraced pass's gates count; its layer figures would replace
+        // the traced pass's.
+        if let Some(mut u) = untraced {
+            u.layers = Metrics::default();
+            outcome.absorb("untraced", u);
+        }
+        sweep(&ctx, w, &tr, &mut outcome);
+        let overhead = match (traced, base) {
             (Some(t), Some(b)) if b > 0.0 => t / b - 1.0,
             _ => f64::NAN,
         };
+        let mut layers = std::mem::take(&mut outcome.layers);
         layers.put("trace.overhead_share", overhead, "share");
         let summary = reconcile(&tr, &mut layers);
         let spans_path = args
@@ -300,11 +277,9 @@ fn main() -> ExitCode {
         if let Err(e) = std::fs::write(&spans_path, trace::spans_json(&tr.spans())) {
             eprintln!("perfbench: cannot write {}: {e}", spans_path.display());
         }
-        (primary, layers, Some(summary))
+        (outcome, layers, Some(summary))
     } else {
-        let mut o = w.pass(&ctx, args.seconds, true, &Tracer::new(false));
-        let rss = host::peak_rss_mb().unwrap_or(f64::NAN);
-        o.e2e.put("peak_rss_mb", rss, "MiB");
+        let o = w.pass(&ctx, args.seconds, true, &Tracer::new(false));
         let m = o.e2e.clone();
         (o, m, None)
     };

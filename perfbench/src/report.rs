@@ -202,6 +202,22 @@ impl Outcome {
     pub fn detail(&mut self, key: &str, v: Json) {
         self.details.push((key.into(), v));
     }
+
+    /// Folds in another pass of the same run: its per-layer metrics, its
+    /// counts, and its gates and details under `pass/`, so this outcome is
+    /// correct only when that pass's gates passed too.
+    pub fn absorb(&mut self, pass: &str, other: Outcome) {
+        self.layers.extend(other.layers);
+        self.attempted += other.attempted;
+        self.failed += other.failed;
+        for g in other.gates {
+            self.gates
+                .push(Gate::new(&format!("{pass}/{}", g.name), g.pass, g.detail));
+        }
+        for (k, v) in other.details {
+            self.details.push((format!("{pass}/{k}"), v));
+        }
+    }
 }
 
 #[cfg(test)]
@@ -229,6 +245,26 @@ mod tests {
     fn numbers_keep_all_digits() {
         assert_eq!(Json::Num(0.1 + 0.2).render(), "0.30000000000000004");
         assert_eq!(Json::Num(3.0).render(), "3.0");
+    }
+
+    #[test]
+    fn absorb_prefixes_gates_and_adds_counts() {
+        let mut a = Outcome {
+            attempted: 3,
+            ..Outcome::default()
+        };
+        let mut b = Outcome {
+            attempted: 5,
+            failed: 1,
+            ..Outcome::default()
+        };
+        b.gates.push(Gate::new("g", false, "why"));
+        b.layers.put("x", 1.0, "ms");
+        a.absorb("p", b);
+        assert_eq!((a.attempted, a.failed), (8, 1));
+        assert_eq!(a.gates[0].name, "p/g");
+        assert!(!a.correct());
+        assert_eq!(a.layers.get("x"), Some(1.0));
     }
 
     #[test]

@@ -1,6 +1,7 @@
-//! `serve_steady` and `serve_flood`: one open-loop generator thread drives
-//! a one-worker `ServeEngine` serving the tiny model at 32 px f32 with
-//! default batching, started from an mmap'd artifact.
+//! `serve_flood`: one open-loop generator thread drives a one-worker
+//! `ServeEngine` serving the tiny model at 32 px f32 with default
+//! batching, started from an mmap'd artifact, with a paced interactive
+//! tenant and two quota-limited flood tenants.
 //!
 //! Latency is timed on the client with a monotonic clock from each
 //! request's *due* instant (the engine's own `latency_ms` is truncated to
@@ -8,6 +9,7 @@
 //! delays. The generator records how late it ran and the run is marked
 //! invalid when it fell behind.
 
+use crate::host;
 use crate::report::{Gate, Json, Metrics, Outcome};
 use crate::schedule::{open_loop, Arrival};
 use crate::stats::{median, percentile_sorted, windowed_median, Summary};
@@ -34,52 +36,36 @@ const WARMUP: usize = 16;
 
 /// Batched capacity of the one-worker engine on the reference host
 /// (2-CPU x86-64 with AVX2, tiny model at 32 px, thread budget 1): the
-/// request rate a saturating closed loop completes. The offered rates
-/// below are fixed fractions and multiples of it, so every run and every
-/// commit is offered the same load.
+/// rate a closed loop with 8 requests in flight completes at degrade
+/// level 0. The offered load is a fixed multiple of it, so every run and
+/// every commit is offered the same load.
 pub const CAPACITY_RPS: f64 = 520.0;
-/// `serve_steady`: one tenant at a quarter of capacity.
-pub const STEADY_RPS: f64 = CAPACITY_RPS / 4.0;
-/// `serve_flood`: the paced interactive tenant.
+/// The paced interactive tenant's rate.
 pub const PACED_RPS: f64 = 100.0;
-/// `serve_flood`: total offered load.
+/// The paced tenant's latency limit, ms from the due instant.
+pub const PACED_SLO_MS: f64 = 50.0;
+/// Total offered load.
 pub const FLOOD_TOTAL_RPS: f64 = 3.0 * CAPACITY_RPS;
 
 const PACED: TenantId = TenantId(1);
 const FLOOD_A: TenantId = TenantId(2);
 const FLOOD_B: TenantId = TenantId(3);
 
-/// Which traffic mix to offer.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Mix {
-    /// One tenant well under capacity.
-    Steady,
-    /// A paced tenant plus two quota-limited flood tenants at 3x capacity.
-    Flood,
-}
-
-impl Mix {
-    /// `(tenant, offered rate)` per stream.
-    fn streams(self) -> Vec<(TenantId, f64)> {
-        match self {
-            Mix::Steady => vec![(PACED, STEADY_RPS)],
-            Mix::Flood => {
-                let flood = FLOOD_TOTAL_RPS - PACED_RPS;
-                vec![
-                    (PACED, PACED_RPS),
-                    (FLOOD_A, flood * 2.0 / 3.0),
-                    (FLOOD_B, flood / 3.0),
-                ]
-            }
-        }
-    }
+/// `(tenant, offered rate)` per stream; the paced tenant first.
+fn streams() -> [(TenantId, f64); 3] {
+    let flood = FLOOD_TOTAL_RPS - PACED_RPS;
+    [
+        (PACED, PACED_RPS),
+        (FLOOD_A, flood * 2.0 / 3.0),
+        (FLOOD_B, flood / 3.0),
+    ]
 }
 
 fn model_cfg(seed: u64) -> RevBiFPNConfig {
     RevBiFPNConfig::tiny(SynthScaleConfig::new(RES).num_classes()).with_seed(seed)
 }
 
-/// The engine both mixes run against: one worker, default batching, and a
+/// The engine: one worker, default batching, and a
 /// quota table in which the paced tenant is unconstrained and the flood
 /// tenants are rate- and in-flight-limited, with live circuit breakers.
 /// The flood in-flight caps (5 + 3) keep the shared queue under the
@@ -412,9 +398,8 @@ fn sorted(v: &[f64]) -> Vec<f64> {
 const MAX_LAG_P50_MS: f64 = 1.0;
 const MAX_LAG_MS: f64 = 100.0;
 
-/// One open-loop pass of `mix` for `seconds` (set-up repeated unless
-/// traced).
-pub fn run(ctx: &Ctx, mix: Mix, seconds: f64, tr: &Tracer) -> Outcome {
+/// One open-loop pass for `seconds` (set-up repeated unless traced).
+pub fn run(ctx: &Ctx, seconds: f64, tr: &Tracer) -> Outcome {
     let mut out = Outcome::default();
     let inp = inputs(ctx.seed);
     let path = ctx
@@ -433,13 +418,15 @@ pub fn run(ctx: &Ctx, mix: Mix, seconds: f64, tr: &Tracer) -> Outcome {
     }
     let engine = engine.expect("at least one set-up");
 
-    let streams = mix.streams();
+    let rss_reset = host::reset_peak_rss();
+    let streams = streams();
     let tenants: Vec<TenantId> = streams.iter().map(|s| s.0).collect();
     let rates: Vec<f64> = streams.iter().map(|s| s.1).collect();
     let sched = open_loop(ctx.seed, &rates, seconds, POOL);
     let d = drive(&engine, &inp, &tenants, &sched, tr);
     let drained = engine.drain(Duration::from_secs(5));
     let health = engine.health();
+    let rss = host::peak_rss_mb().unwrap_or(f64::NAN);
     drop(engine);
     let _ = std::fs::remove_file(&path);
 
@@ -453,15 +440,13 @@ pub fn run(ctx: &Ctx, mix: Mix, seconds: f64, tr: &Tracer) -> Outcome {
     out.attempted = sent;
     out.failed = failed;
     out.e2e.put("setup_s", median(&setups), "s");
-    // The first stream is the latency-sensitive one: the only tenant of
-    // the steady mix, the paced interactive tenant of the flood mix.
+    out.e2e.put("peak_rss_mb", rss, "MiB");
     let paced = &d.streams[0];
-    let limit = if mix == Mix::Steady {
-        ctx.slo_ms
-    } else {
-        ctx.paced_slo_ms
-    };
-    let within = paced.latencies_ms.iter().filter(|&&l| l <= limit).count() as f64;
+    let within = paced
+        .latencies_ms
+        .iter()
+        .filter(|&&l| l <= PACED_SLO_MS)
+        .count() as f64;
     let lat = Summary::of(&paced.latencies_ms);
     let timed: Vec<(f64, f64)> = paced
         .due_s
@@ -552,9 +537,9 @@ pub fn run(ctx: &Ctx, mix: Mix, seconds: f64, tr: &Tracer) -> Outcome {
     out.detail(
         "serve",
         Json::obj([
-            ("mix", Json::str(format!("{mix:?}"))),
             ("capacity_rps_reference", Json::Num(CAPACITY_RPS)),
-            ("latency_limit_ms", Json::Num(limit)),
+            ("latency_limit_ms", Json::Num(PACED_SLO_MS)),
+            ("peak_rss_reset", Json::Bool(rss_reset)),
             ("elapsed_s", Json::Num(d.elapsed_s)),
             (
                 "threads",
@@ -631,44 +616,4 @@ pub fn tiny_probe(seed: u64, tr: &Tracer, budget_s: f64) -> Metrics {
         m.put(format!("core.frozen_tiny_b{n}_ms"), median(&per), "ms");
     }
     m
-}
-
-/// Saturating closed loop (many requests outstanding) on the serving
-/// engine for `seconds`: completed requests per second. Used to derive
-/// [`CAPACITY_RPS`] on a new reference host.
-pub fn capacity(ctx: &Ctx, seconds: f64) -> f64 {
-    let inp = inputs(ctx.seed);
-    let path = ctx
-        .out_dir
-        .join(format!("capacity-{}.rbfn", std::process::id()));
-    let engine = start(ctx, &Tracer::new(false), &path, &inp.images);
-    let mut window = std::collections::VecDeque::new();
-    let (mut done, mut i) = (0u64, 0usize);
-    let t = Instant::now();
-    while t.elapsed().as_secs_f64() < seconds {
-        while window.len() < 8 {
-            i += 1;
-            if let Ok(p) = engine.submit_tenant(PACED, inp.images[i % POOL].clone()) {
-                window.push_back(p);
-            } else {
-                break;
-            }
-        }
-        if let Some(p) = window.pop_front() {
-            done += u64::from(p.wait().is_ok());
-        }
-    }
-    let rps = done as f64 / t.elapsed().as_secs_f64();
-    let h = engine.health();
-    eprintln!(
-        "capacity: degrade level {}, buckets {:?}",
-        h.degrade_level,
-        h.batch_buckets
-            .iter()
-            .map(|b| (b.key, b.mean_batch, b.closes))
-            .collect::<Vec<_>>()
-    );
-    engine.shutdown();
-    let _ = std::fs::remove_file(&path);
-    rps
 }

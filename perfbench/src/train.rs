@@ -1,6 +1,7 @@
 //! `train`: one closed-loop trainer, S0 channels and depth at 128 px,
 //! batch 8, two shards, thread budget 2.
 
+use crate::host;
 use crate::report::{Gate, Json, Outcome};
 use crate::stats::{median, windowed_rate};
 use crate::trace::{by_name, Tracer};
@@ -14,6 +15,7 @@ use revbifpn_rev::{DriftConfig, RevStage, ReversibleSequence, TrainMode};
 use revbifpn_tensor::Tensor;
 use revbifpn_train::{
     train_classifier_with, RunOptions, Sgd, ShardEngine, ShardStepFaults, TrainConfig,
+    TrainHistory,
 };
 use std::time::Instant;
 
@@ -81,68 +83,105 @@ fn engine_step_bits(seed: u64, shards: usize) -> (u64, Vec<u32>) {
     (out.loss.to_bits(), grads(&mut model))
 }
 
-/// Trainer steps per timed `train_classifier_with` call.
+/// Steps a timed call trains beyond its first.
 const CHUNK: usize = 4;
 
-/// End-to-end pass: set-up (repeated), timed `train_classifier_with`
-/// calls of [`CHUNK`] steps until `seconds` have passed, then the
-/// correctness gates.
+/// Seconds one `train_classifier_with` call of `steps` steps takes on a
+/// freshly built same-seed model (built outside the timing), and its
+/// history.
+fn timed_call(seed: u64, data: &SynthScale, steps: usize) -> (f64, TrainHistory) {
+    let mut model = RevBiFPNClassifier::new(model_cfg(seed, data.num_classes()));
+    let t = Instant::now();
+    let h = train_classifier_with(
+        &mut model,
+        data,
+        &train_cfg(seed, steps),
+        RunMode::TrainReversible,
+        &RunOptions::default(),
+    );
+    (t.elapsed().as_secs_f64(), h)
+}
+
+fn loss(h: &TrainHistory) -> f64 {
+    h.epochs.last().map_or(f64::NAN, |e| e.train_loss)
+}
+
+fn all_bitwise_equal(v: &[f64]) -> bool {
+    v.windows(2).all(|w| w[0].to_bits() == w[1].to_bits())
+}
+
+/// End-to-end pass: set-up (repeated), the shard gate, then pairs of
+/// timed calls until `seconds` have passed — one of `CHUNK + 1` steps and
+/// one of a single step, each on a freshly built same-seed model.
+///
+/// Every call builds its `ShardEngine` (two model replicas) and warms cold
+/// scratch arenas in its first step. The single-step calls measure that
+/// per-call set-up plus one step; a long call's steps time is its wall
+/// time minus their median, so the reported throughput excludes set-up.
+/// Fresh models keep every call's work identical, so a long run never
+/// drifts into a diverged regime, and their losses must agree bitwise.
 pub fn run(ctx: &Ctx, seconds: f64) -> Outcome {
     let mut out = Outcome::default();
     let mut setups = Vec::new();
-    let mut warm_losses = Vec::new();
+    let mut short_losses = Vec::new();
     let mut kept = None;
     for _ in 0..SETUP_REPS {
         let t = Instant::now();
         let data = data(ctx.seed);
-        let mut model = RevBiFPNClassifier::new(model_cfg(ctx.seed, data.num_classes()));
         // Warm-up: one trainer step (engine replicas, scratch arenas, pool).
-        let h = train_classifier_with(
-            &mut model,
-            &data,
-            &train_cfg(ctx.seed, 1),
-            RunMode::TrainReversible,
-            &RunOptions::default(),
-        );
+        let (_, h) = timed_call(ctx.seed, &data, 1);
         setups.push(t.elapsed().as_secs_f64());
-        warm_losses.push(h.epochs.first().map_or(f64::NAN, |e| e.train_loss));
-        kept = Some((data, model));
+        short_losses.push(loss(&h));
+        kept = Some(data);
     }
-    let data = kept.expect("at least one set-up").0;
+    let data = kept.expect("at least one set-up");
+    let cfg = model_cfg(ctx.seed, data.num_classes());
+    let engine_new_ms: Vec<f64> = (0..SETUP_REPS)
+        .map(|_| {
+            let t = Instant::now();
+            drop(ShardEngine::new(&cfg, SHARDS, DriftConfig::default()));
+            t.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    let s1 = engine_step_bits(ctx.seed, 1);
+    let s2 = engine_step_bits(ctx.seed, SHARDS);
+    out.gates.push(Gate::new(
+        "train.shards2_step_equals_shards1",
+        s1 == s2,
+        format!("loss and {} gradient values compared bitwise", s1.1.len()),
+    ));
+    let rss_reset = host::reset_peak_rss();
 
-    // Every timed call trains a freshly built same-seed model (built
-    // outside the timing), so each call does identical work and a long
-    // run never drifts into a diverged regime. Their losses must agree
-    // bitwise.
-    let (mut step_ms, mut wall, mut steps, mut skips, mut peak) =
-        (Vec::new(), 0.0, 0usize, 0u64, 0usize);
-    let (mut call_losses, mut aborted) = (Vec::new(), false);
-    while step_ms.len() < 2 || wall < seconds {
-        let mut model = RevBiFPNClassifier::new(model_cfg(ctx.seed, data.num_classes()));
-        let t = Instant::now();
-        let h = train_classifier_with(
-            &mut model,
-            &data,
-            &train_cfg(ctx.seed, CHUNK),
-            RunMode::TrainReversible,
-            &RunOptions::default(),
-        );
-        let w = t.elapsed().as_secs_f64();
-        wall += w;
-        steps += CHUNK;
-        step_ms.push(w * 1e3 / CHUNK as f64);
-        skips += h.nonfinite_skips;
-        aborted |= h.aborted;
-        peak = peak.max(h.peak_activation_bytes());
-        call_losses.push(h.epochs.last().map_or(f64::NAN, |e| e.train_loss));
+    let (mut long_s, mut short_s, mut long_losses) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut steps, mut skips, mut aborted, mut peak) = (0usize, 0u64, false, 0usize);
+    let t = Instant::now();
+    while long_s.len() < 3 || t.elapsed().as_secs_f64() < seconds {
+        for n in [CHUNK + 1, 1] {
+            let (s, h) = timed_call(ctx.seed, &data, n);
+            steps += n;
+            skips += h.nonfinite_skips;
+            aborted |= h.aborted;
+            peak = peak.max(h.peak_activation_bytes());
+            if n == 1 {
+                short_s.push(s);
+                short_losses.push(loss(&h));
+            } else {
+                long_s.push(s);
+                long_losses.push(loss(&h));
+            }
+        }
     }
+    let rss = host::peak_rss_mb().unwrap_or(f64::NAN);
 
+    let call_setup_s = median(&short_s);
+    let chunk_s: Vec<f64> = long_s.iter().map(|s| s - call_setup_s).collect();
+    let step_ms: Vec<f64> = chunk_s.iter().map(|s| s * 1e3 / CHUNK as f64).collect();
     out.attempted = steps as u64;
     out.failed = skips;
     out.e2e.put("setup_s", median(&setups), "s");
-    // One window per trainer call: the median call's samples per second.
-    let call_s: Vec<f64> = step_ms.iter().map(|m| m * 1e-3 * CHUNK as f64).collect();
-    let rate = windowed_rate(&call_s, 1, (CHUNK * BATCH) as f64);
+    out.e2e.put("peak_rss_mb", rss, "MiB");
+    // One window per long call: the median call's samples per second.
+    let rate = windowed_rate(&chunk_s, 1, (CHUNK * BATCH) as f64);
     out.e2e.put("throughput_per_s", rate, "1/s");
     out.e2e.put("latency_p50_ms", median(&step_ms), "ms");
     out.e2e.put(
@@ -151,26 +190,21 @@ pub fn run(ctx: &Ctx, seconds: f64) -> Outcome {
         "share",
     );
 
-    let bits: Vec<u64> = warm_losses.iter().map(|l| l.to_bits()).collect();
     out.gates.push(Gate::new(
         "train.same_seed_losses_bitwise_equal",
-        bits.windows(2).all(|w| w[0] == w[1]) && warm_losses.iter().all(|l| l.is_finite()),
-        format!("{SETUP_REPS} fresh same-seed one-step runs, losses {warm_losses:?}"),
+        all_bitwise_equal(&short_losses) && short_losses.iter().all(|l| l.is_finite()),
+        format!(
+            "{} fresh same-seed one-step calls ({SETUP_REPS} in set-up), losses {short_losses:?}",
+            short_losses.len()
+        ),
     ));
-    let s1 = engine_step_bits(ctx.seed, 1);
-    let s2 = engine_step_bits(ctx.seed, SHARDS);
-    out.gates.push(Gate::new(
-        "train.shards2_step_equals_shards1",
-        s1 == s2,
-        format!("loss and {} gradient values compared bitwise", s1.1.len()),
-    ));
-    let call_bits: Vec<u64> = call_losses.iter().map(|l| l.to_bits()).collect();
     out.gates.push(Gate::new(
         "train.timed_calls_losses_bitwise_equal",
-        call_bits.windows(2).all(|w| w[0] == w[1]),
+        all_bitwise_equal(&long_losses),
         format!(
-            "{} same-seed {CHUNK}-step calls, losses {call_losses:?}",
-            call_losses.len()
+            "{} same-seed {}-step calls, losses {long_losses:?}",
+            long_losses.len(),
+            CHUNK + 1
         ),
     ));
     out.gates.push(Gate::new(
@@ -178,6 +212,7 @@ pub fn run(ctx: &Ctx, seconds: f64) -> Outcome {
         skips == 0 && !aborted,
         format!("{skips} skipped of {steps}, aborted {aborted}"),
     ));
+    let engine_new = median(&engine_new_ms);
     out.detail(
         "train",
         Json::obj([
@@ -185,10 +220,27 @@ pub fn run(ctx: &Ctx, seconds: f64) -> Outcome {
             ("batch", Json::Int(BATCH as i64)),
             ("resolution", Json::Int(RES as i64)),
             ("shards", Json::Int(SHARDS as i64)),
-            ("wall_s", Json::Num(wall)),
-            ("samples_per_s", Json::Num((steps * BATCH) as f64 / wall)),
             ("peak_activation_bytes", Json::Int(peak as i64)),
-            ("call_train_loss", Json::Num(call_losses[0])),
+            ("peak_rss_reset", Json::Bool(rss_reset)),
+            ("long_call_train_loss", Json::Num(long_losses[0])),
+            ("engine_new_ms", Json::Num(engine_new)),
+            (
+                "engine_new_share_of_long_call",
+                Json::Num(engine_new * 1e-3 / median(&long_s)),
+            ),
+            ("one_step_call_ms", Json::Num(call_setup_s * 1e3)),
+            (
+                "call_setup_ms",
+                Json::Num(call_setup_s * 1e3 - median(&step_ms)),
+            ),
+            (
+                "long_call_ms",
+                Json::Arr(long_s.iter().map(|s| Json::Num(s * 1e3)).collect()),
+            ),
+            (
+                "one_step_call_samples_ms",
+                Json::Arr(short_s.iter().map(|s| Json::Num(s * 1e3)).collect()),
+            ),
             (
                 "step_ms",
                 Json::Arr(step_ms.into_iter().map(Json::Num).collect()),
