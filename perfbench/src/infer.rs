@@ -1,8 +1,12 @@
 //! `infer_f32` / `infer_int8`: one closed-loop caller running batch-1 S0
 //! at 224 px through a `FrozenClassifier` mmap-loaded from an `RBFNFRZ1`
-//! artifact written during set-up.
+//! artifact written during set-up. Each call's wall time is also scaled to
+//! the quiet host's speed by the reference timed right before it (see
+//! [`crate::hostspeed`]); throughput and median latency use the scaled
+//! times.
 
 use crate::host;
+use crate::hostspeed::{self, HostSpeed, NOMINAL_MS};
 use crate::report::{Gate, Json, Outcome};
 use crate::schedule::Rng;
 use crate::stats::{median, windowed_rate, Summary};
@@ -175,23 +179,30 @@ pub fn run(ctx: &Ctx, prec: Precision, seconds: f64, full: bool, tr: &Tracer) ->
         pieces(&model, &images, tr, 5, &mut out);
     }
     drop((model, mem));
+    let mut speed = HostSpeed::default();
     let rss_reset = host::reset_peak_rss();
     // The reset handed freed heap back; fault the loop's buffers in again
     // before timing.
     std::hint::black_box(map.forward(&images[0]));
+    speed.time_ms();
 
     let name = format!("core.classifier.{}", prec.tag());
     let mut rng = Rng::new(ctx.seed ^ 0x1AFE);
-    let (mut ms, mut finite) = (Vec::new(), 0usize);
+    let (mut ms, mut ref_ms, mut scaled) = (Vec::new(), Vec::new(), Vec::new());
+    let mut finite = 0usize;
     let want_tail = full && tr.enabled();
     let min_calls = if want_tail { TAIL_CALLS } else { MIN_CALLS };
     let t = Instant::now();
     while t.elapsed().as_secs_f64() < seconds || ms.len() < min_calls {
+        let r = speed.time_ms();
         let x = &images[rng.below(POOL)];
         let i = ms.len() as u64;
         let c = Instant::now();
         let y = tr.scope("op.infer", i, || tr.scope(&name, i, || map.forward(x)));
-        ms.push(c.elapsed().as_secs_f64() * 1e3);
+        let wall = c.elapsed().as_secs_f64() * 1e3;
+        ms.push(wall);
+        ref_ms.push(r);
+        scaled.push(hostspeed::scaled(wall, r));
         finite += usize::from(y.is_finite() && y.shape() == map.logit_shape(1));
     }
     let rss = host::peak_rss_mb().unwrap_or(f64::NAN);
@@ -201,10 +212,10 @@ pub fn run(ctx: &Ctx, prec: Precision, seconds: f64, full: bool, tr: &Tracer) ->
     out.failed = (ms.len() - finite) as u64;
     out.e2e.put("setup_s", median(&setups), "s");
     out.e2e.put("peak_rss_mb", rss, "MiB");
-    let secs: Vec<f64> = ms.iter().map(|m| m * 1e-3).collect();
+    let secs: Vec<f64> = scaled.iter().map(|m| m * 1e-3).collect();
     let rate = windowed_rate(&secs, RATE_WINDOW, 1.0);
     out.e2e.put("throughput_per_s", rate, "1/s");
-    out.e2e.put("latency_p50_ms", sum.p50, "ms");
+    out.e2e.put("latency_p50_ms", median(&scaled), "ms");
     out.e2e
         .put("ok_share", finite as f64 / ms.len() as f64, "share");
     out.layers
@@ -220,7 +231,9 @@ pub fn run(ctx: &Ctx, prec: Precision, seconds: f64, full: bool, tr: &Tracer) ->
         &format!("infer_{}", prec.tag()),
         Json::obj([
             ("calls", Json::Int(ms.len() as i64)),
-            ("p50_ms", Json::Num(sum.p50)),
+            ("wall_p50_ms", Json::Num(sum.p50)),
+            ("reference_nominal_ms", Json::Num(NOMINAL_MS)),
+            ("reference_p50_ms", Json::Num(median(&ref_ms))),
             ("tail_percentile", sum.tail_p.map_or(Json::Null, Json::Num)),
             ("tail_ms", Json::Num(sum.tail)),
             ("peak_rss_reset", Json::Bool(rss_reset)),

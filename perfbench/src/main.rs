@@ -14,12 +14,13 @@
 //! correct only when every pass it draws metrics from passed its gates.
 //! The last line of standard output is the result object; the full report
 //! (host and provenance block, gates, details, per-layer self times) and
-//! the span file go to `--out-dir`. The serving mix (`serve_flood`) is
-//! runnable by hand and drives every traced sweep, but it is not a
-//! `BENCHMARK.json` workload: its latency does not repeat from run to run
-//! on the reference host (see `README.md`).
+//! the span file go to `--out-dir`. `infer_f32` and the serving mix
+//! (`serve_flood`) are runnable by hand and run in every traced sweep, but
+//! they are not `BENCHMARK.json` workloads: their latency does not repeat
+//! from run to run on the reference host (see `README.md`).
 
 mod host;
+mod hostspeed;
 mod infer;
 mod kernels;
 mod report;

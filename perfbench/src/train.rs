@@ -1,7 +1,12 @@
 //! `train`: one closed-loop trainer, S0 channels and depth at 128 px,
-//! batch 8, two shards, thread budget 2.
+//! batch 8, two shards, thread budget 2. Throughput and latency are scaled
+//! to the quiet host's speed by the reference timed on both threads
+//! between the calls (see [`crate::hostspeed`]). A call lasts seconds,
+//! longer than the host's speed holds still, so the run's median reference
+//! scales the run rather than each call's own.
 
 use crate::host;
+use crate::hostspeed::{self, HostSpeed};
 use crate::report::{Gate, Json, Outcome};
 use crate::stats::{median, windowed_rate};
 use crate::trace::{by_name, Tracer};
@@ -150,13 +155,17 @@ pub fn run(ctx: &Ctx, seconds: f64) -> Outcome {
         s1 == s2,
         format!("loss and {} gradient values compared bitwise", s1.1.len()),
     ));
+    let mut speed = [HostSpeed::default(), HostSpeed::default()];
     let rss_reset = host::reset_peak_rss();
+    hostspeed::time_pair_ms(&mut speed);
 
     let (mut long_s, mut short_s, mut long_losses) = (Vec::new(), Vec::new(), Vec::new());
+    let mut ref_ms = Vec::new();
     let (mut steps, mut skips, mut aborted, mut peak) = (0usize, 0u64, false, 0usize);
     let t = Instant::now();
     while long_s.len() < 3 || t.elapsed().as_secs_f64() < seconds {
         for n in [CHUNK + 1, 1] {
+            ref_ms.push(hostspeed::time_pair_ms(&mut speed));
             let (s, h) = timed_call(ctx.seed, &data, n);
             steps += n;
             skips += h.nonfinite_skips;
@@ -171,8 +180,10 @@ pub fn run(ctx: &Ctx, seconds: f64) -> Outcome {
             }
         }
     }
+    ref_ms.push(hostspeed::time_pair_ms(&mut speed));
     let rss = host::peak_rss_mb().unwrap_or(f64::NAN);
 
+    let scale = hostspeed::NOMINAL_PAIR_MS / median(&ref_ms);
     let call_setup_s = median(&short_s);
     let chunk_s: Vec<f64> = long_s.iter().map(|s| s - call_setup_s).collect();
     let step_ms: Vec<f64> = chunk_s.iter().map(|s| s * 1e3 / CHUNK as f64).collect();
@@ -182,8 +193,9 @@ pub fn run(ctx: &Ctx, seconds: f64) -> Outcome {
     out.e2e.put("peak_rss_mb", rss, "MiB");
     // One window per long call: the median call's samples per second.
     let rate = windowed_rate(&chunk_s, 1, (CHUNK * BATCH) as f64);
-    out.e2e.put("throughput_per_s", rate, "1/s");
-    out.e2e.put("latency_p50_ms", median(&step_ms), "ms");
+    out.e2e.put("throughput_per_s", rate / scale, "1/s");
+    out.e2e
+        .put("latency_p50_ms", median(&step_ms) * scale, "ms");
     out.e2e.put(
         "ok_share",
         steps.saturating_sub(skips as usize) as f64 / steps as f64,
@@ -230,6 +242,12 @@ pub fn run(ctx: &Ctx, seconds: f64) -> Outcome {
             ),
             ("one_step_call_ms", Json::Num(call_setup_s * 1e3)),
             (
+                "reference_nominal_ms",
+                Json::Num(hostspeed::NOMINAL_PAIR_MS),
+            ),
+            ("reference_p50_ms", Json::Num(median(&ref_ms))),
+            ("speed_scale", Json::Num(scale)),
+            (
                 "call_setup_ms",
                 Json::Num(call_setup_s * 1e3 - median(&step_ms)),
             ),
@@ -242,7 +260,7 @@ pub fn run(ctx: &Ctx, seconds: f64) -> Outcome {
                 Json::Arr(short_s.iter().map(|s| Json::Num(s * 1e3)).collect()),
             ),
             (
-                "step_ms",
+                "step_wall_ms",
                 Json::Arr(step_ms.into_iter().map(Json::Num).collect()),
             ),
             (
