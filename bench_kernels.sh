@@ -1,8 +1,10 @@
 #!/bin/bash
-# Produces results/BENCH_kernels.json: criterion timings for the kernel
+# Regenerates every committed results/BENCH_*.json with full-length runs.
+# First results/BENCH_kernels.json: criterion timings for the kernel
 # microbenches — the `*_ref` entries are the pre-optimisation seed kernels,
 # the unsuffixed entries the tiled/parallel engine — plus per-pair median
-# speedups and the steady-state scratch-arena allocation counters.
+# speedups and the steady-state scratch-arena allocation counters. Then
+# the training, inference, cold-start and serving benches below.
 set -eu
 cd "$(dirname "$0")"
 
@@ -41,11 +43,18 @@ EOF
 
 echo "wrote results/BENCH_kernels.json"
 
-# Training-step bench: serial seed step vs the sharded engine vs the
-# stage-pipelined engine (sync, combined, and PETRA delayed modes),
-# per-phase timings + bubble fractions + on-the-spot bitwise determinism
-# checks for both engines.
+# Training-step bench: serial seed step vs the sharded engine at S=1/2/4,
+# per-phase timings + on-the-spot bitwise shard-count determinism checks
+# -> results/BENCH_train_step.json.
 cargo run --release -q --example train_bench
+
+# Fused frozen inference vs the unfused eval forward (S0/S3, batch 1/8)
+# -> results/BENCH_infer_fused.json.
+cargo run --release -q --example freeze_bench
+
+# Artifact cold start: mmap vs copy deserialization, gated at >=5x on the
+# S3 f32 row -> results/BENCH_cold_start.json.
+cargo run --release -q --example coldstart_bench
 
 # Quantized inference bench: int8 fast path vs the f32 frozen path vs the
 # unfused eval forward (S0/S3, batch 1/8) -> results/BENCH_infer_quant.json.

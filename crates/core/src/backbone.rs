@@ -156,23 +156,17 @@ impl RevBiFPN {
         &self.stem
     }
 
-    /// Mutable access to the stem (the pipelined trainer drives the stem
-    /// directly on the edge replica).
-    pub fn stem_mut(&mut self) -> &mut Stem {
-        &mut self.stem
-    }
-
     /// Removes and returns the reversible body, leaving an empty sequence
-    /// behind. The pipelined trainer splits the body into
-    /// [`revbifpn_rev::StageCell`]s owned by worker tasks; the hollowed-out
-    /// backbone keeps serving as the stem-side edge replica.
+    /// behind, so a caller can drive the body's stages itself between
+    /// [`stem_forward`](Self::stem_forward) and
+    /// [`stem_backward`](Self::stem_backward).
     pub fn take_body(&mut self) -> ReversibleSequence {
         std::mem::take(&mut self.body)
     }
 
     /// Runs only the stem forward, in an explicit cache mode (bypasses
-    /// [`stem_mode`](Self::forward) promotion — the pipelined trainer runs
-    /// a cache-free first pass and a `Full` recompute at adjoint time).
+    /// the cache-mode promotion [`forward`](Self::forward) applies to a
+    /// non-reversible stem).
     pub fn stem_forward(&mut self, x: &Tensor, mode: CacheMode) -> Tensor {
         self.stem.forward(x, mode)
     }

@@ -154,8 +154,7 @@ impl RevBiFPNClassifier {
     }
 
     /// Runs only the neck + head forward over an externally produced
-    /// pyramid (the pipelined trainer owns the backbone body as worker
-    /// cells and drives the edges through this entry point).
+    /// pyramid (for callers that drive the backbone body stage by stage).
     pub fn neck_head_forward(&mut self, pyramid: &[Tensor], mode: CacheMode) -> Tensor {
         let neck_out = self.neck.forward(pyramid, mode);
         self.head.forward(&neck_out, mode)
@@ -166,47 +165,6 @@ impl RevBiFPNClassifier {
     pub fn neck_head_backward(&mut self, dlogits: &Tensor) -> Vec<Tensor> {
         let dneck = self.head.backward(dlogits);
         self.neck.backward(&dneck)
-    }
-
-    /// Visits the stem's parameters only (edge-replica sync and gradient
-    /// slab capture in the pipelined trainer).
-    pub fn visit_stem_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        self.backbone.stem_mut().visit_params(f);
-    }
-
-    /// Visits the stem's persistent buffers only.
-    pub fn visit_stem_buffers(&mut self, f: &mut dyn FnMut(&mut Tensor)) {
-        self.backbone.stem_mut().visit_buffers(f);
-    }
-
-    /// Visits the stem's BatchNorm layers only.
-    pub fn visit_stem_bn(&mut self, f: &mut dyn FnMut(&mut revbifpn_nn::layers::BatchNorm2d)) {
-        self.backbone.stem_mut().visit_bn(f);
-    }
-
-    /// Visits the neck's and head's parameters only, in `visit_params`
-    /// order.
-    pub fn visit_neck_head_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        self.neck.visit_params(f);
-        self.head.visit_params(f);
-    }
-
-    /// Visits the neck's and head's persistent buffers only.
-    pub fn visit_neck_head_buffers(&mut self, f: &mut dyn FnMut(&mut Tensor)) {
-        self.neck.visit_buffers(f);
-        self.head.visit_buffers(f);
-    }
-
-    /// Visits the neck's and head's BatchNorm layers only.
-    pub fn visit_neck_head_bn(&mut self, f: &mut dyn FnMut(&mut revbifpn_nn::layers::BatchNorm2d)) {
-        self.neck.visit_bn(f);
-        self.head.visit_bn(f);
-    }
-
-    /// Clears only the neck and head caches (between pipelined edge ops).
-    pub fn clear_neck_head_cache(&mut self) {
-        self.neck.clear_cache();
-        self.head.clear_cache();
     }
 
     /// Visits all parameters (backbone, neck, head).

@@ -264,21 +264,11 @@ pub enum Phase {
     Reduce,
     /// Optimizer update (SGD step, EMA, clipping).
     Optimizer,
-    /// Pipeline bubble: a stage worker (or the pipeline driver) blocked
-    /// waiting for a message. Aggregate blocked thread-time, the direct
-    /// measure of fill/drain bubbles in stage-pipelined training.
-    Stall,
 }
 
-const PHASE_COUNT: usize = 6;
-static PHASE_NANOS: [AtomicU64; PHASE_COUNT] = [
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-];
+const PHASE_COUNT: usize = 5;
+static PHASE_NANOS: [AtomicU64; PHASE_COUNT] =
+    [AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)];
 
 /// Wall-clock nanoseconds accumulated per phase since the last
 /// [`reset_phase_timers`]. Copyable snapshot; subtract two snapshots to
@@ -295,8 +285,6 @@ pub struct PhaseTimes {
     pub reduce_nanos: u64,
     /// Time in [`Phase::Optimizer`].
     pub optimizer_nanos: u64,
-    /// Time in [`Phase::Stall`] (pipeline bubbles).
-    pub stall_nanos: u64,
 }
 
 impl PhaseTimes {
@@ -309,7 +297,6 @@ impl PhaseTimes {
             backward_nanos: self.backward_nanos.saturating_sub(earlier.backward_nanos),
             reduce_nanos: self.reduce_nanos.saturating_sub(earlier.reduce_nanos),
             optimizer_nanos: self.optimizer_nanos.saturating_sub(earlier.optimizer_nanos),
-            stall_nanos: self.stall_nanos.saturating_sub(earlier.stall_nanos),
         }
     }
 
@@ -320,7 +307,6 @@ impl PhaseTimes {
             + self.backward_nanos
             + self.reduce_nanos
             + self.optimizer_nanos
-            + self.stall_nanos
     }
 }
 
@@ -356,7 +342,6 @@ pub fn phase_times() -> PhaseTimes {
         backward_nanos: phase_nanos(Phase::Backward),
         reduce_nanos: phase_nanos(Phase::Reduce),
         optimizer_nanos: phase_nanos(Phase::Optimizer),
-        stall_nanos: phase_nanos(Phase::Stall),
     }
 }
 

@@ -415,7 +415,7 @@ pub struct ReconFault {
 /// activation meter (it is O(1) diagnostic state, not an activation cache).
 pub const FP_SAMPLES: usize = 64;
 
-pub(crate) fn fingerprint(xs: &[Tensor]) -> Vec<Vec<f32>> {
+fn fingerprint(xs: &[Tensor]) -> Vec<Vec<f32>> {
     xs.iter()
         .map(|x| {
             let d = x.data();
@@ -425,13 +425,13 @@ pub(crate) fn fingerprint(xs: &[Tensor]) -> Vec<Vec<f32>> {
         .collect()
 }
 
-pub(crate) fn flip_bit(t: &mut Tensor, index: usize, bit: u32) {
+fn flip_bit(t: &mut Tensor, index: usize, bit: u32) {
     let d = t.data_mut();
     let i = index % d.len();
     d[i] = f32::from_bits(d[i].to_bits() ^ (1u32 << (bit % 32)));
 }
 
-pub(crate) fn fingerprint_drift(fp: &[Vec<f32>], xs: &[Tensor]) -> f32 {
+fn fingerprint_drift(fp: &[Vec<f32>], xs: &[Tensor]) -> f32 {
     let mut worst = 0.0f32;
     for (samples, x) in fp.iter().zip(xs) {
         let d = x.data();
@@ -561,60 +561,10 @@ impl ReversibleSequence {
     }
 
     /// Consumes the sequence and returns its stages in forward order,
-    /// discarding sentinel state. This is the hand-off point to the
-    /// pipelined engine: the stages are re-homed into [`crate::StageCell`]s
-    /// which carry their own per-micro-batch sentinels.
+    /// discarding sentinel state, so a caller can drive and time the
+    /// stages one at a time.
     pub fn into_stages(self) -> Vec<Box<dyn RevStage>> {
         self.stages
-    }
-
-    /// Splits the chain into `parts` contiguous groups with approximately
-    /// balanced MAC counts (greedy longest-prefix under the ideal per-part
-    /// budget, never leaving a later part empty). Returns `parts + 1`
-    /// boundary indices starting at 0 and ending at `len()`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `parts == 0` or `parts > len()`.
-    pub fn partition_by_macs(&self, xs: &[Shape], parts: usize) -> Vec<usize> {
-        assert!(parts > 0, "partition needs at least one part");
-        assert!(parts <= self.stages.len(), "cannot split {} stages into {} parts", self.stages.len(), parts);
-        let mut cur = xs.to_vec();
-        let macs: Vec<u64> = self
-            .stages
-            .iter()
-            .map(|s| {
-                let m = s.macs(&cur);
-                cur = s.out_shapes(&cur);
-                m
-            })
-            .collect();
-        let total: u64 = macs.iter().sum();
-        let mut bounds = vec![0usize];
-        let mut acc = 0u64;
-        let mut start = 0usize;
-        for part in 0..parts - 1 {
-            // Each remaining part must receive at least one stage.
-            let must_stop = self.stages.len() - (parts - 1 - part);
-            let budget = (total.saturating_mul((part + 1) as u64)) / parts as u64;
-            let mut end = start;
-            while end < must_stop {
-                let next = acc + macs[end];
-                // Take the stage if it brings us closer to the cumulative
-                // budget than stopping short would.
-                let closer = (next as i128 - budget as i128).abs() < (budget as i128 - acc as i128).abs();
-                if end == start || next <= budget || closer {
-                    acc = next;
-                    end += 1;
-                } else {
-                    break;
-                }
-            }
-            bounds.push(end);
-            start = end;
-        }
-        bounds.push(self.stages.len());
-        bounds
     }
 
     /// Inference-only frozen form of the whole chain: every stage frozen via
@@ -757,33 +707,6 @@ impl ReversibleSequence {
         }
     }
 
-    /// Visits the parameters of stages `lo..hi` only (pipeline-stage
-    /// parameter sync and gradient merge against a partitioned copy).
-    pub fn visit_params_range(&mut self, lo: usize, hi: usize, f: &mut dyn FnMut(&mut Param)) {
-        for s in &mut self.stages[lo..hi] {
-            s.visit_params(f);
-        }
-    }
-
-    /// Visits the persistent buffers of stages `lo..hi` only.
-    pub fn visit_buffers_range(&mut self, lo: usize, hi: usize, f: &mut dyn FnMut(&mut Tensor)) {
-        for s in &mut self.stages[lo..hi] {
-            s.visit_buffers(f);
-        }
-    }
-
-    /// Visits the BatchNorm layers of stages `lo..hi` only.
-    pub fn visit_bn_range(
-        &mut self,
-        lo: usize,
-        hi: usize,
-        f: &mut dyn FnMut(&mut revbifpn_nn::layers::BatchNorm2d),
-    ) {
-        for s in &mut self.stages[lo..hi] {
-            s.visit_bn(f);
-        }
-    }
-
     /// Clears all stage caches, pending fingerprints, and stored fallback
     /// inputs. Fallback *flags* and drift statistics persist (a stage that
     /// tripped the sentinel stays on the cached path for the rest of the
@@ -849,53 +772,6 @@ impl ReversibleSequence {
             cur = s.out_shapes(&cur);
         }
         stored + max_seg.max(seg_cache)
-    }
-}
-
-#[cfg(test)]
-pub(crate) mod tests_support {
-    use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    use revbifpn_nn::layers::{MBConv, MBConvCfg};
-    use revbifpn_nn::Layer;
-
-    const C: [usize; 3] = [8, 12, 16];
-
-    fn make_silo(n_in: usize, n_out: usize, seed: u64) -> RevSilo {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut down = |j: usize, i: usize| -> Box<dyn Layer> {
-            Box::new(MBConv::new(MBConvCfg::down(C[j], C[i], (i - j) as u32, 1.5), &mut rng)) as Box<dyn Layer>
-        };
-        let mut rng2 = StdRng::seed_from_u64(seed + 1);
-        let mut up = |j: usize, i: usize| -> Box<dyn Layer> {
-            Box::new(MBConv::new(MBConvCfg::up(C[j], C[i], (j - i) as u32, 1.5), &mut rng2)) as Box<dyn Layer>
-        };
-        RevSilo::new(n_in, n_out, &mut down, &mut up)
-    }
-
-    fn make_blocks(streams: usize, seed: u64) -> BlockStage {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let blocks = (0..streams)
-            .map(|i| {
-                let half = C[i] / 2;
-                let f = MBConv::new(MBConvCfg::same(half, 3, 1.5).plain(), &mut rng);
-                let g = MBConv::new(MBConvCfg::same(half, 3, 1.5).plain(), &mut rng);
-                vec![RevBlock::new(C[i], Box::new(f), Box::new(g))]
-            })
-            .collect();
-        BlockStage::new(blocks)
-    }
-
-    /// A 5-stage single-input sequence for `StageCell` tests.
-    pub(crate) fn make_seq_for_cells(seed: u64) -> ReversibleSequence {
-        let mut seq = ReversibleSequence::new();
-        seq.add(Box::new(make_silo(1, 2, seed)));
-        seq.add(Box::new(make_blocks(2, seed + 10)));
-        seq.add(Box::new(make_silo(2, 3, seed + 20)));
-        seq.add(Box::new(make_blocks(3, seed + 30)));
-        seq.add(Box::new(make_silo(3, 3, seed + 40)));
-        seq
     }
 }
 

@@ -17,7 +17,6 @@
 mod ema;
 pub mod faults;
 mod metrics;
-mod pipeline;
 pub mod resume;
 mod schedule;
 mod sgd;
@@ -27,9 +26,6 @@ mod trainer;
 pub use ema::Ema;
 pub use faults::{tear_file, Fault, FaultPlan, ServeFault, ServeFaultPlan};
 pub use metrics::{top1_accuracy, topk_accuracy, AverageMeter, PhaseBreakdown};
-pub use pipeline::{
-    train_pipeline_delayed, PipelineConfig, PipelineEngine, PipelineStepOutput,
-};
 pub use shard::{ShardEngine, ShardStepFaults, ShardStepOutput};
 pub use resume::{auto_resume, load_train_state, save_train_state, CheckpointCfg, ResumeMeta};
 pub use schedule::LrSchedule;

@@ -46,7 +46,7 @@ impl AverageMeter {
 /// Counters are *aggregate thread-time*: concurrent shard tasks each
 /// charge their own wall clock, so on a multi-core run the sum can exceed
 /// elapsed time.
-#[derive(Clone, Debug, Default, PartialEq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct PhaseBreakdown {
     /// Batch forward passes (loss included).
     pub forward_ms: f64,
@@ -58,23 +58,11 @@ pub struct PhaseBreakdown {
     pub reduce_ms: f64,
     /// Optimizer updates (SGD step, EMA).
     pub optimizer_ms: f64,
-    /// Aggregate thread-time pipeline workers (and the pipeline driver)
-    /// spent blocked waiting on stage messages — the fill/drain bubble
-    /// cost of stage-pipelined steps. Zero for serial and sharded runs.
-    pub stall_ms: f64,
-    /// Mean per-pipeline-stage occupancy over the run's steps: fraction of
-    /// the step wall-clock each stage worker spent computing (index =
-    /// pipeline position). Empty for serial and sharded runs.
-    pub stage_occupancy: Vec<f64>,
-    /// Mean pipeline bubble fraction over the run's steps:
-    /// `1 - mean(stage_occupancy)`. Zero for serial and sharded runs.
-    pub bubble_fraction: f64,
 }
 
 impl PhaseBreakdown {
     /// Converts a [`PhaseTimes`] snapshot (or snapshot difference) into
-    /// milliseconds. Pipeline occupancy fields are not derivable from
-    /// phase counters; the pipelined trainer fills them in separately.
+    /// milliseconds.
     pub fn from_times(t: PhaseTimes) -> Self {
         const MS: f64 = 1e-6;
         Self {
@@ -83,20 +71,12 @@ impl PhaseBreakdown {
             backward_ms: t.backward_nanos as f64 * MS,
             reduce_ms: t.reduce_nanos as f64 * MS,
             optimizer_ms: t.optimizer_nanos as f64 * MS,
-            stall_ms: t.stall_nanos as f64 * MS,
-            stage_occupancy: Vec::new(),
-            bubble_fraction: 0.0,
         }
     }
 
-    /// Sum over all compute phases plus stall time, in milliseconds.
+    /// Sum over all phases, in milliseconds.
     pub fn total_ms(&self) -> f64 {
-        self.forward_ms
-            + self.reconstruct_ms
-            + self.backward_ms
-            + self.reduce_ms
-            + self.optimizer_ms
-            + self.stall_ms
+        self.forward_ms + self.reconstruct_ms + self.backward_ms + self.reduce_ms + self.optimizer_ms
     }
 }
 

@@ -25,7 +25,6 @@
 use crate::ema::Ema;
 use crate::faults::FaultPlan;
 use crate::metrics::{top1_accuracy, AverageMeter, PhaseBreakdown};
-use crate::pipeline::{PipelineConfig, PipelineEngine};
 use crate::resume::{auto_resume, save_train_state, CheckpointCfg, ResumeMeta};
 use crate::schedule::LrSchedule;
 use crate::sgd::Sgd;
@@ -96,13 +95,6 @@ pub struct TrainConfig {
     /// power of two `>= 1` routes steps through the engine, whose merged
     /// gradients are bitwise invariant to the shard count.
     pub shards: usize,
-    /// Stage-pipelined step engine ([`crate::PipelineEngine`]).
-    /// `stages == 0` keeps the serial/sharded path; `stages >= 1` with
-    /// `staleness == 0` routes steps through the synchronous fill/drain
-    /// pipeline, whose merged gradients are bitwise identical to the
-    /// shard engine's. (`staleness >= 1` is the delayed-gradient mode —
-    /// use [`crate::train_pipeline_delayed`], which owns its own loop.)
-    pub pipeline: PipelineConfig,
 }
 
 impl TrainConfig {
@@ -122,7 +114,6 @@ impl TrainConfig {
             seed: 0,
             resilience: ResilienceConfig::default(),
             shards: 0,
-            pipeline: PipelineConfig::disabled(),
         }
     }
 }
@@ -276,15 +267,6 @@ pub fn train_classifier_with(
     let res = cfg.resilience;
     model.backbone_mut().body_mut().set_drift_config(res.drift);
     let mut engine = (cfg.shards > 0).then(|| ShardEngine::new(model.cfg(), cfg.shards, res.drift));
-    let mut pipe = (cfg.pipeline.stages > 0).then(|| {
-        assert_eq!(cfg.shards, 0, "within-stage sharding is set via pipeline.shards, not cfg.shards");
-        assert_eq!(
-            cfg.pipeline.staleness, 0,
-            "delayed-gradient mode has its own loop: use train_pipeline_delayed"
-        );
-        assert_eq!(mode, RunMode::TrainReversible, "pipelined training is reversible-only");
-        PipelineEngine::new(model.cfg(), &cfg.pipeline, res.drift)
-    });
     let phases_start = meter::phase_times();
 
     let mut history = TrainHistory::default();
@@ -339,24 +321,7 @@ pub fn train_classifier_with(
             let mut loss = 0.0f64;
             let mut acc_val = 0.0f64;
             let mut backward_ran = false;
-            let logits = if let Some(pe) = &mut pipe {
-                let sf = ShardStepFaults {
-                    nan_grad: opts.faults.nan_grad_at(step),
-                    bit_flip: opts.faults.bit_flip_at(step),
-                };
-                let out = pe.step(model, &images, &targets, mode, &sf);
-                if out.backward_ran {
-                    loss = out.loss;
-                    backward_ran = true;
-                } else if res.tripwires {
-                    tripped = true;
-                } else {
-                    // Tripwires off: reproduce the serial path's panic
-                    // semantics by forming the loss on non-finite logits.
-                    let _ = softmax_cross_entropy(&out.logits, &targets);
-                }
-                out.logits
-            } else if let Some(eng) = &mut engine {
+            let logits = if let Some(eng) = &mut engine {
                 let sf = ShardStepFaults {
                     nan_grad: opts.faults.nan_grad_at(step),
                     bit_flip: opts.faults.bit_flip_at(step),
@@ -426,18 +391,12 @@ pub fn train_classifier_with(
                 if let Some(eng) = &mut engine {
                     eng.clear_replica_caches();
                 }
-                if let Some(pe) = &mut pipe {
-                    pe.after_trip();
-                }
                 model.clear_cache();
                 lr_scale *= res.lr_backoff;
             } else {
                 consecutive_trips = 0;
                 if let Some(eng) = &mut engine {
                     eng.apply_bn_stats(model);
-                }
-                if let Some(pe) = &mut pipe {
-                    pe.apply_bn_stats(model);
                 }
                 meter::time_phase(meter::Phase::Optimizer, || {
                     opt.step(schedule.lr(step) * lr_scale, |f| model.visit_params(f));
@@ -485,10 +444,6 @@ pub fn train_classifier_with(
     }
     history.nonfinite_skips = skips;
     history.phases = PhaseBreakdown::from_times(meter::phase_times().since(&phases_start));
-    if let Some(pe) = &pipe {
-        history.phases.stage_occupancy = pe.mean_occupancy();
-        history.phases.bubble_fraction = pe.mean_bubble_fraction();
-    }
     history
 }
 
@@ -545,15 +500,25 @@ mod tests {
     #[test]
     fn tripwires_do_not_change_clean_runs() {
         // The resilience layer must be a strict no-op on healthy training:
-        // same seeds, tripwires on vs off, bit-identical history.
-        let (mut m1, data) = tiny_setup();
-        let (mut m2, _) = tiny_setup();
-        let cfg_on = TrainConfig { epochs: 1, train_size: 48, val_size: 32, batch_size: 16, ..TrainConfig::small() };
-        let mut cfg_off = cfg_on;
-        cfg_off.resilience.tripwires = false;
-        let h1 = train_classifier(&mut m1, &data, &cfg_on, RunMode::TrainReversible);
-        let h2 = train_classifier(&mut m2, &data, &cfg_off, RunMode::TrainReversible);
-        assert_eq!(h1.epochs, h2.epochs);
+        // same seeds, tripwires on vs off, bit-identical history — on the
+        // serial step and on the shard engine's step alike.
+        for shards in [0, 2] {
+            let (mut m1, data) = tiny_setup();
+            let (mut m2, _) = tiny_setup();
+            let cfg_on = TrainConfig {
+                epochs: 1,
+                train_size: 48,
+                val_size: 32,
+                batch_size: 16,
+                shards,
+                ..TrainConfig::small()
+            };
+            let mut cfg_off = cfg_on;
+            cfg_off.resilience.tripwires = false;
+            let h1 = train_classifier(&mut m1, &data, &cfg_on, RunMode::TrainReversible);
+            let h2 = train_classifier(&mut m2, &data, &cfg_off, RunMode::TrainReversible);
+            assert_eq!(h1.epochs, h2.epochs, "shards = {shards}");
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 use revbifpn::{RevBiFPNClassifier, RevBiFPNConfig, RunMode};
 use revbifpn_data::augment::AugmentPolicy;
 use revbifpn_data::{SynthScale, SynthScaleConfig};
-use revbifpn_train::{train_classifier, PipelineConfig, ResilienceConfig, TrainConfig};
+use revbifpn_train::{train_classifier, ResilienceConfig, TrainConfig};
 
 fn env_usize(name: &str, default: usize) -> usize {
     std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
@@ -42,7 +42,6 @@ fn main() {
         seed: 0,
         resilience: ResilienceConfig::default(),
         shards: 0,
-        pipeline: PipelineConfig::disabled(),
     };
     let history = train_classifier(&mut model, &data, &cfg, RunMode::TrainReversible);
     println!("\nepoch  train-loss  train-acc  val-acc(EMA)  peak-act-bytes");

@@ -18,7 +18,8 @@
 //! row in the table.
 //!
 //! `--smoke` restricts to the tiny config (no S3 build, no threshold) for
-//! quick local runs.
+//! quick local runs, and prints the JSON to stdout instead of overwriting
+//! the committed full-length result.
 
 use revbifpn::artifact::{load_classifier_artifact, save_classifier_artifact};
 use revbifpn::{FrozenClassifier, RevBiFPNClassifier, RevBiFPNConfig};
@@ -164,9 +165,13 @@ fn main() {
         "{{\n  \"mmap_speedup_floor_s3\": {MMAP_SPEEDUP_FLOOR_S3},\n  \"floor_applies_to\": \"s3_f32\",\n  \"cold_starts\": [\n{}\n  ]\n}}\n",
         json_rows.join(",\n")
     );
-    std::fs::create_dir_all("results").expect("create results dir");
-    std::fs::write("results/BENCH_cold_start.json", json).expect("write bench json");
-    println!("wrote results/BENCH_cold_start.json");
+    if smoke {
+        print!("{json}");
+    } else {
+        std::fs::create_dir_all("results").expect("create results dir");
+        std::fs::write("results/BENCH_cold_start.json", json).expect("write bench json");
+        println!("wrote results/BENCH_cold_start.json");
+    }
 
     let _ = std::fs::remove_dir_all(&dir);
 

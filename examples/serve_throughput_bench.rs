@@ -11,8 +11,9 @@
 //! (completed requests/sec) must stay positive with every rejection typed,
 //! and the batched engine must beat the unbatched one at overload (the
 //! continuous batcher's reason to exist) without starving the paced
-//! tenant. `--smoke` shortens the run for CI and skips the perf-ratio
-//! gates (timing on shared CI boxes is noise).
+//! tenant. `--smoke` shortens the run for CI, skips the perf-ratio gates
+//! (timing on shared CI boxes is noise), and prints the JSON to stdout
+//! instead of overwriting the committed full-length result.
 
 use revbifpn::RevBiFPNConfig;
 use revbifpn_serve::{
@@ -429,9 +430,13 @@ fn main() {
          \"scenarios\": [\n{}\n]\n}}\n",
         rows.join(",\n")
     );
-    std::fs::create_dir_all("results").expect("create results dir");
-    std::fs::write("results/BENCH_serve_throughput.json", json).expect("write bench json");
-    println!("wrote results/BENCH_serve_throughput.json");
+    if smoke {
+        print!("{json}");
+    } else {
+        std::fs::create_dir_all("results").expect("create results dir");
+        std::fs::write("results/BENCH_serve_throughput.json", json).expect("write bench json");
+        println!("wrote results/BENCH_serve_throughput.json");
+    }
 
     // Sanity gates so CI can run this directly: overload must convert to
     // goodput plus *typed* sheds, with the books intact.

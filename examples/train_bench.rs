@@ -1,22 +1,19 @@
 //! Training-step throughput bench: the seed serial step (single model,
 //! whole batch) versus the sharded data-parallel engine
-//! (`revbifpn_train::ShardEngine`) at shard counts 1/2/4, versus the
-//! stage-pipelined engine (`revbifpn_train::PipelineEngine`) — sync
-//! fill/drain, combined with inner shards, and the PETRA delayed-gradient
-//! mode — with the per-phase wall-clock breakdown (forward / reconstruct /
-//! backward / reduce) from the `nn::meter` phase timers and the pipeline's
-//! measured bubble fraction.
+//! (`revbifpn_train::ShardEngine`) at shard counts 1/2/4, with the
+//! per-phase wall-clock breakdown (forward / reconstruct / backward /
+//! reduce) from the `nn::meter` phase timers. The kernel thread budget is
+//! the host's available parallelism, so the pool never oversubscribes.
 //!
-//! Also verifies the engines' determinism contracts on the spot: merged
-//! gradients and loss must be **bitwise** identical across shard counts,
-//! and the sync pipelined step bitwise-identical to the shard engine.
+//! Also verifies the engine's determinism contract on the spot: merged
+//! gradients and loss must be **bitwise** identical across shard counts.
 //!
 //! Usage:
 //!   cargo run --release --example train_bench            # writes results/BENCH_train_step.json
 //!   cargo run --release --example train_bench -- --smoke # quick determinism gate, no file
 //!
-//! Phase counters are aggregate thread-time: concurrent shard/stage tasks
-//! each charge their own clock, so on a multi-core host the phase sum can
+//! Phase counters are aggregate thread-time: concurrent shard tasks each
+//! charge their own clock, so on a multi-core host the phase sum can
 //! exceed wall-clock. On a single-CPU host the sharded step cannot beat the
 //! serial step through parallelism alone (same FLOPs + reduction overhead);
 //! what remains is cache locality — smaller per-task working sets — and the
@@ -28,14 +25,11 @@ use revbifpn_repro::nn::loss::{label_smooth, one_hot, softmax_cross_entropy};
 use revbifpn_repro::nn::meter::{self, Phase, PhaseTimes};
 use revbifpn_repro::rev::DriftConfig;
 use revbifpn_repro::tensor::{par, Tensor};
-use revbifpn_repro::train::{
-    evaluate, train_pipeline_delayed, PipelineConfig, PipelineEngine, ShardEngine,
-    ShardStepFaults, TrainConfig,
-};
+use revbifpn_repro::train::{ShardEngine, ShardStepFaults};
 use std::time::Instant;
 
 const BATCH: usize = 16;
-const THREADS: usize = 4;
+const ITERS: usize = 10;
 
 fn setup() -> (RevBiFPNClassifier, Tensor, Tensor) {
     let data = SynthScale::new(SynthScaleConfig::new(32), 5);
@@ -47,6 +41,7 @@ fn setup() -> (RevBiFPNClassifier, Tensor, Tensor) {
 
 struct Measured {
     wall_ms: f64,
+    median_ms: f64,
     phases: PhaseTimes,
 }
 
@@ -55,21 +50,23 @@ fn measure(iters: usize, mut step: impl FnMut()) -> Measured {
         step(); // warm-up: scratch arenas, persistent shard buffers
     }
     let p0 = meter::phase_times();
-    // Min over iterations: this host is a shared container, and the
-    // fastest observed step is the best estimate of the uncontended time.
-    let mut wall_ms = f64::INFINITY;
-    for _ in 0..iters {
-        let t0 = Instant::now();
-        step();
-        wall_ms = wall_ms.min(t0.elapsed().as_secs_f64() * 1e3);
-    }
+    // Min over iterations: on a shared host the fastest observed step is
+    // the best estimate of the uncontended time; the median shows spread.
+    let mut samples: Vec<f64> = (0..iters)
+        .map(|_| {
+            let t0 = Instant::now();
+            step();
+            t0.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    samples.sort_by(f64::total_cmp);
     let mut phases = meter::phase_times().since(&p0);
     phases.forward_nanos /= iters as u64;
     phases.reconstruct_nanos /= iters as u64;
     phases.backward_nanos /= iters as u64;
     phases.reduce_nanos /= iters as u64;
     phases.optimizer_nanos /= iters as u64;
-    Measured { wall_ms, phases }
+    Measured { wall_ms: samples[0], median_ms: samples[iters / 2], phases }
 }
 
 /// One seed-style serial step: whole batch through one model.
@@ -112,47 +109,16 @@ fn assert_bitwise_match(shards: usize) {
     println!("determinism: S={shards} grads and loss bitwise-equal to S=1 ... ok");
 }
 
-/// Runs one sync pipelined step at `(stages, micros, shards)` and
-/// returns (loss, grads).
-fn pipeline_once(stages: usize, micros: usize, shards: usize) -> (f64, Vec<Tensor>) {
-    let (mut model, images, targets) = setup();
-    let pcfg = PipelineConfig { stages, micros, shards, staleness: 0 };
-    let mut engine = PipelineEngine::new(model.cfg(), &pcfg, DriftConfig::default());
-    let out = engine.step(
-        &mut model,
-        &images,
-        &targets,
-        RunMode::TrainReversible,
-        &ShardStepFaults::default(),
-    );
-    assert!(out.backward_ran, "clean pipelined step must complete");
-    (out.loss, grads_of(&mut model))
-}
-
-/// The pipeline determinism gate: a sync fill/drain step over `stages`
-/// workers must be bitwise identical to the one-shard engine step.
-fn assert_pipeline_bitwise_match(stages: usize, micros: usize, shards: usize) {
-    let (l1, g1) = engine_once(1);
-    let (lp, gp) = pipeline_once(stages, micros, shards);
-    assert_eq!(l1.to_bits(), lp.to_bits(), "loss diverged at P={stages} m={micros} S={shards}");
-    assert_eq!(g1.len(), gp.len());
-    for (i, (a, b)) in g1.iter().zip(&gp).enumerate() {
-        assert_eq!(a, b, "grad tensor {i} diverged at P={stages} m={micros} S={shards}");
-    }
-    println!(
-        "determinism: P={stages} m={micros} S={shards} pipelined step bitwise-equal to S=1 ... ok"
-    );
-}
-
 fn phase_json(m: &Measured) -> String {
     const MS: f64 = 1e-6;
     format!(
         concat!(
-            "{{ \"wall_ms_per_step\": {:.3}, \"phases_ms\": {{ ",
+            "{{ \"wall_ms_per_step\": {:.3}, \"wall_ms_median\": {:.3}, \"phases_ms\": {{ ",
             "\"forward\": {:.3}, \"reconstruct\": {:.3}, \"backward\": {:.3}, ",
             "\"reduce\": {:.3}, \"optimizer\": {:.3} }} }}"
         ),
         m.wall_ms,
+        m.median_ms,
         m.phases.forward_nanos as f64 * MS,
         m.phases.reconstruct_nanos as f64 * MS,
         m.phases.backward_nanos as f64 * MS,
@@ -163,129 +129,46 @@ fn phase_json(m: &Measured) -> String {
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    par::set_max_threads(if smoke { 2 } else { THREADS });
+    let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    par::set_max_threads(threads);
 
+    assert_bitwise_match(2);
+    assert_bitwise_match(4);
     if smoke {
-        assert_bitwise_match(2);
-        assert_pipeline_bitwise_match(2, 2, 1);
         println!("train_bench --smoke: ok");
         return;
     }
 
-    assert_bitwise_match(2);
-    assert_bitwise_match(4);
-    assert_pipeline_bitwise_match(2, 2, 1);
-    assert_pipeline_bitwise_match(4, 2, 1);
-    assert_pipeline_bitwise_match(2, 2, 2);
-
-    let iters = 10;
-
     let (mut model, images, targets) = setup();
-    let serial = measure(iters, || serial_step(&mut model, &images, &targets));
-    println!("serial (1 model, batch {BATCH}):        {:.2} ms/step", serial.wall_ms);
+    let serial = measure(ITERS, || serial_step(&mut model, &images, &targets));
+    println!("serial (1 model, batch {BATCH}):     {:.2} ms/step", serial.wall_ms);
 
     let mut sharded = Vec::new();
     for shards in [1usize, 2, 4] {
         let (mut m, images, targets) = setup();
         let mut engine = ShardEngine::new(m.cfg(), shards, DriftConfig::default());
-        let measured = measure(iters, || {
+        let measured = measure(ITERS, || {
             let out = engine.step(&mut m, &images, &targets, RunMode::TrainReversible, &ShardStepFaults::default());
             assert!(out.backward_ran);
             engine.apply_bn_stats(&mut m);
         });
-        println!("sharded S={shards} (threads {THREADS}):           {:.2} ms/step", measured.wall_ms);
+        println!("sharded S={shards} (threads {threads}): {:.2} ms/step", measured.wall_ms);
         sharded.push((shards, measured));
     }
-
-    // Stage-pipelined arms: sync fill/drain at P stages x m micro-batches,
-    // plus the combined config (inner shards inside each stage task).
-    let mut piped = Vec::new();
-    for (stages, micros, shards) in [(2usize, 2usize, 1usize), (4, 2, 1), (2, 2, 2)] {
-        let (mut m, images, targets) = setup();
-        let pcfg = PipelineConfig { stages, micros, shards, staleness: 0 };
-        let mut engine = PipelineEngine::new(m.cfg(), &pcfg, DriftConfig::default());
-        let measured = measure(iters, || {
-            let out = engine.step(&mut m, &images, &targets, RunMode::TrainReversible, &ShardStepFaults::default());
-            assert!(out.backward_ran);
-            engine.apply_bn_stats(&mut m);
-        });
-        let bubble = engine.mean_bubble_fraction();
-        println!(
-            "pipelined P={stages} m={micros} S={shards} (threads {THREADS}): {:.2} ms/step  (bubble {:.2})",
-            measured.wall_ms, bubble
-        );
-        piped.push((stages, micros, shards, measured, bubble));
-    }
-
-    // PETRA delayed-gradient arm: K overlapping flights keep every stage
-    // busy across step boundaries, trading the fill/drain bubble for
-    // bounded parameter staleness. Whole-run timing (the overlap only
-    // exists across steps), with the validation pass timed separately and
-    // subtracted.
-    let delayed = {
-        let data = SynthScale::new(SynthScaleConfig::new(32), 5);
-        let mut model = RevBiFPNClassifier::new(RevBiFPNConfig::tiny(data.num_classes()));
-        let cfg = TrainConfig {
-            epochs: 1,
-            train_size: 128,
-            val_size: 16,
-            batch_size: BATCH,
-            lr: 0.04,
-            pipeline: PipelineConfig { stages: 2, micros: 2, shards: 1, staleness: 1 },
-            ..TrainConfig::small()
-        };
-        let steps = cfg.train_size.div_ceil(cfg.batch_size);
-        let t0 = Instant::now();
-        let h = train_pipeline_delayed(&mut model, &data, &cfg);
-        let total_ms = t0.elapsed().as_secs_f64() * 1e3;
-        assert!(!h.aborted, "delayed bench run must not abort");
-        let t1 = Instant::now();
-        evaluate(&mut model, &data, cfg.val_size, cfg.batch_size);
-        let eval_ms = t1.elapsed().as_secs_f64() * 1e3;
-        let wall_ms = (total_ms - eval_ms).max(0.0) / steps as f64;
-        println!(
-            "delayed P=2 m=2 K=1 (threads {THREADS}):    {:.2} ms/step  (bubble {:.2})",
-            wall_ms, h.phases.bubble_fraction
-        );
-        (wall_ms, h.phases.bubble_fraction)
-    };
 
     let mut json = String::new();
     json.push_str("{\n");
     json.push_str(&format!(
-        "  \"config\": {{ \"model\": \"tiny\", \"resolution\": 32, \"batch\": {BATCH}, \"threads\": {THREADS}, \"host_cpus\": {} }},\n",
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+        "  \"config\": {{ \"model\": \"tiny\", \"resolution\": 32, \"batch\": {BATCH}, \"threads\": {threads}, \"host_cpus\": {threads}, \"iters\": {ITERS}, \"wall_ms_per_step\": \"min over iters\" }},\n"
     ));
     json.push_str("  \"grads_bitwise_equal_across_shards\": true,\n");
-    json.push_str("  \"pipelined_step_bitwise_equal_to_sharded\": true,\n");
     json.push_str(&format!("  \"serial_step\": {},\n", phase_json(&serial)));
     json.push_str("  \"sharded_step\": {\n");
     for (i, (shards, m)) in sharded.iter().enumerate() {
         let sep = if i + 1 == sharded.len() { "" } else { "," };
         json.push_str(&format!("    \"S{shards}\": {}{sep}\n", phase_json(m)));
     }
-    json.push_str("  },\n");
-    json.push_str("  \"pipelined_step\": {\n");
-    for (i, (stages, micros, shards, m, bubble)) in piped.iter().enumerate() {
-        let sep = if i + 1 == piped.len() { "" } else { "," };
-        let body = phase_json(m);
-        let body = body
-            .strip_suffix(" }")
-            .map(|b| format!("{b}, \"bubble_fraction\": {bubble:.3} }}"))
-            .unwrap_or(body);
-        json.push_str(&format!("    \"P{stages}m{micros}S{shards}\": {body}{sep}\n"));
-    }
-    json.push_str("  },\n");
-    json.push_str(&format!(
-        "  \"delayed_step\": {{ \"wall_ms_per_step\": {:.3}, \"stages\": 2, \"micros\": 2, \"staleness\": 1, \"bubble_fraction\": {:.3}, \"note\": \"whole-run timing: includes augmentation, per-stage optimizers, and snapshot sync\" }},\n",
-        delayed.0, delayed.1
-    ));
-    json.push_str(&format!(
-        "  \"host_note\": \"{} hardware cpu(s): stage overlap cannot shorten wall-clock here; compare bubble_fraction (delayed {:.2} vs sync {:.2}) for the occupancy the overlap buys on a multi-core host\"\n",
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-        delayed.1,
-        piped.first().map(|p| p.4).unwrap_or(0.0),
-    ));
+    json.push_str("  }\n");
     json.push_str("}\n");
 
     std::fs::create_dir_all("results").expect("create results dir");
